@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke ci clean
+.PHONY: all build test race lint bench-smoke bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke perfbench-test ci clean
 
 all: build
 
@@ -111,7 +111,14 @@ cluster-smoke:
 	$(GO) test -race -run 'TestClusterServeAndFetch' -v ./cmd/nonstrict
 	$(GO) test -race -run 'TestFleetClusterKill|TestBenchClusterSmoke' -v ./internal/fleet
 
-ci: build lint test race bench-smoke bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke
+# The benchmark's self-test: perfbench is its own module (the root
+# build never compiles it), so vet and race-test it against the
+# packages it drives — live.Run, stream.LinkClass.Shape, the cluster
+# harness — before the benchmark driver would find a break.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
+
+ci: build lint test race bench-smoke bench-serve live-smoke chaos trace-smoke fleet-smoke check-smoke restart-smoke cluster-smoke perfbench-test
 
 clean:
 	$(GO) clean ./...

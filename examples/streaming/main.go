@@ -20,34 +20,6 @@ import (
 	"nonstrict/internal/stream"
 )
 
-// throttleWriter flushes and paces the response to ~rate bytes/second.
-type throttleWriter struct {
-	w    http.ResponseWriter
-	fl   http.Flusher
-	rate int
-}
-
-func (t *throttleWriter) Write(p []byte) (int, error) {
-	const chunk = 256
-	written := 0
-	for off := 0; off < len(p); off += chunk {
-		end := off + chunk
-		if end > len(p) {
-			end = len(p)
-		}
-		n, err := t.w.Write(p[off:end])
-		written += n
-		if err != nil {
-			return written, err
-		}
-		if t.fl != nil {
-			t.fl.Flush()
-		}
-		time.Sleep(time.Duration(n) * time.Second / time.Duration(t.rate))
-	}
-	return written, nil
-}
-
 func main() {
 	app, err := nonstrict.Benchmark("Hanoi")
 	if err != nil {
@@ -67,11 +39,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Server: the interleaved virtual file at ~8 KB/s.
+	// Server: the interleaved virtual file at ~8 KB/s, in flushed
+	// 256-byte chunks (the first leaves at once).
 	mux := http.NewServeMux()
 	mux.HandleFunc("/app", func(w http.ResponseWriter, req *http.Request) {
-		fl, _ := w.(http.Flusher)
-		if _, err := writer.WriteTo(&throttleWriter{w: w, fl: fl, rate: 8 * 1024}); err != nil {
+		const chunk = 256
+		paced := stream.PaceResponse(req.Context(), w, stream.NewPacer(8*1024, chunk), chunk)
+		if _, err := writer.WriteTo(paced); err != nil {
 			log.Printf("serve: %v", err)
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nonstrict/internal/server"
+	"nonstrict/internal/stream"
 )
 
 // HarnessConfig configures an in-process cluster: N real nodes on
@@ -28,7 +29,8 @@ type HarnessConfig struct {
 	// own subdirectory.
 	Server server.Config
 	// EgressBytesPerSec caps each node's outbound bandwidth (0 = no
-	// cap); see EgressLimiter.
+	// cap): one stream.Pacer shared by every response body the node
+	// writes — see capEgress.
 	EgressBytesPerSec int
 	// RouterCooldown overrides the router's down-node cooldown.
 	RouterCooldown time.Duration
@@ -91,7 +93,6 @@ func NewHarness(c HarnessConfig) (*Harness, error) {
 		h.lns[i] = ln
 		h.urls[name] = "http://" + ln.Addr().String()
 	}
-	lim := func() *EgressLimiter { return NewEgressLimiter(c.EgressBytesPerSec) }
 	for i, name := range names {
 		sc := c.Server
 		if sc.StoreDir != "" {
@@ -118,7 +119,7 @@ func NewHarness(c HarnessConfig) (*Harness, error) {
 		h.conns[i] = make(map[net.Conn]struct{})
 		idx := i
 		hs := &http.Server{
-			Handler: lim().Wrap(node.Handler()),
+			Handler: capEgress(node.Handler(), c.EgressBytesPerSec),
 			ConnState: func(conn net.Conn, st http.ConnState) {
 				h.mu.Lock()
 				switch st {
@@ -269,4 +270,28 @@ func (h *Harness) Close() {
 			h.lns[i].Close()
 		}
 	}
+}
+
+// capEgress caps h's response bodies at rate bytes/second in total —
+// the stand-in for a real node's NIC when the whole cluster runs inside
+// one process. The scaling benchmark needs it to be honest: without a
+// per-node egress bound, N in-process "nodes" share one machine's
+// memory bandwidth and the 1→N ladder measures nothing. With it, each
+// node has fixed serving capacity and streams/sec scales with node
+// count exactly as far as the sharding actually spreads the load.
+//
+// Every stream through the node books the same Pacer before each
+// 16 KiB chunk leaves, so concurrent responses divide the node's
+// capacity — contention, not per-stream shaping (stream.LinkClass
+// models the client's last mile; this models the server's uplink).
+// rate <= 0 returns h unchanged.
+func capEgress(h http.Handler, rate int) http.Handler {
+	const chunk = 16 << 10
+	p := stream.NewPacer(float64(rate), max(rate/10, chunk))
+	if p == nil {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(stream.PaceResponse(r.Context(), w, p, chunk), r)
+	})
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -10,13 +9,15 @@ import (
 	"time"
 
 	"nonstrict/internal/classfile"
+	"nonstrict/internal/live"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/xrand"
 )
 
 // client is one simulated mobile user: a real HTTP client over a shaped
-// in-process connection, streaming the app through a real verifying
-// loader while replaying the app's need trace.
+// in-process connection, driving a live.Session — the transfer, loader,
+// gate, demand, and repair path live.Run uses — from the app's need
+// trace instead of a VM.
 type client struct {
 	id    int
 	seed  uint64
@@ -24,16 +25,6 @@ type client struct {
 	link  stream.LinkClass
 	model *appModel
 	dial  func(context.Context) (net.Conn, error)
-
-	fc  *stream.FetchClient
-	toc []stream.UnitInfo
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	classReady  map[string]bool
-	methodReady map[classfile.Ref]bool
-	streamErr   error
-	done        bool
 }
 
 // clientResult is what one client contributes to the aggregate.
@@ -41,21 +32,17 @@ type clientResult struct {
 	failed bool
 	err    error
 
-	needs, mispredicts, demands int64
-	streamBytes, demandBytes    int64
-	corruptUnits, repaired      int64
-	fetch                       stream.FetchStats
-	firstInvocation             time.Duration
-	overlap                     float64
+	// st is the session's measurement; every need crossed the gate
+	// once, so len(st.Waits) is the need count.
+	st              *live.Stats
+	firstInvocation time.Duration
 }
 
 // run executes the client's whole session. Every error path degrades to
 // a counted failure — one wedged client must never take the fleet down.
 func (c *client) run(ctx context.Context) *clientResult {
-	res := &clientResult{}
 	fail := func(err error) *clientResult {
-		res.failed, res.err = true, err
-		return res
+		return &clientResult{failed: true, err: fmt.Errorf("fleet client %d: %w", c.id, err)}
 	}
 
 	// One transport per client: its connections are shaped with the
@@ -78,136 +65,79 @@ func (c *client) run(ctx context.Context) *clientResult {
 		MaxIdleConnsPerHost: 2,
 	}
 	defer tr.CloseIdleConnections()
-	c.fc = &stream.FetchClient{
-		HTTP:       &http.Client{Transport: tr},
-		JitterSeed: c.seed ^ 0xF7,
-	}
-	c.cond = sync.NewCond(&c.mu)
-	c.classReady = make(map[string]bool)
-	c.methodReady = make(map[classfile.Ref]bool)
-
-	base := "http://fleet/apps/" + c.model.name
-	start := time.Now()
 
 	// The session opens like a real one: unit table first, then the
-	// interleaved stream.
-	var tocBuf bytes.Buffer
-	if _, err := c.fc.Fetch(ctx, base+"/app.toc", &tocBuf); err != nil {
-		return fail(fmt.Errorf("fleet client %d: toc: %w", c.id, err))
-	}
-	toc, err := stream.ParseTOC(tocBuf.Bytes())
+	// interleaved stream. The first-invocation clock starts before the
+	// unit-table request.
+	base := "http://fleet/apps/" + c.model.name
+	start := time.Now()
+	s, err := live.Start(ctx, live.Options{
+		URL:       base + "/app",
+		TOCURL:    base + "/app.toc",
+		Name:      c.model.name,
+		MainClass: c.model.mainClass,
+		Client: &stream.FetchClient{
+			HTTP:       &http.Client{Transport: tr},
+			JitterSeed: c.seed ^ 0xF7,
+		},
+		GateTimeout: c.cfg.GateTimeout,
+	})
 	if err != nil {
-		return fail(fmt.Errorf("fleet client %d: %w", c.id, err))
+		return fail(err)
 	}
-	c.toc = toc
-
-	loader := stream.NewLoader(c.model.name, c.model.mainClass, nil)
-	loader.Repair = func(req stream.RepairRequest) ([]byte, error) {
-		return c.repairUnit(ctx, base+"/app", req)
-	}
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	loadDone := make(chan struct{})
-	go func() {
-		defer close(loadDone)
-		err := func() error {
-			body, err := c.fc.Open(sctx, base+"/app")
-			if err != nil {
-				return err
-			}
-			defer body.Close()
-			return loader.Load(body, c.onEvent)
-		}()
-		c.mu.Lock()
-		c.done = true
-		if err != nil && sctx.Err() == nil {
-			c.streamErr = err
-		}
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	}()
+	toc := s.Units()
 
 	// Replay the need trace. Whether a need is a mispredict is decided
 	// by the positional model (deterministic in seed and config); how
-	// long it stalls is measured from the actual transfer.
+	// long it stalls is measured at the session's gate.
+	res := &clientResult{}
 	think := xrand.New(c.seed ^ 0x7E)
 	satisfied := make(map[classfile.Ref]bool, len(c.model.needs))
 	classHave := make(map[string]bool)
 	cursor := 0
-	var stall time.Duration
 	for _, ref := range c.model.needs {
-		res.needs++
-		nb := time.Now()
-		next, inOrder := c.scan(cursor, ref, satisfied)
+		next, inOrder := scan(toc, cursor, ref, satisfied)
 		if inOrder {
 			// Predicted order delivers this method next: ride the main
-			// stream, blocking at the gate like vm.AwaitMethod.
-			if err := c.waitReady(ref); err != nil {
-				scancel()
-				<-loadDone
-				return fail(fmt.Errorf("fleet client %d: %w", c.id, err))
+			// stream.
+			if err = s.Await(ref); err != nil {
+				break
 			}
 			// Everything before the matched unit has installed; the
 			// skipped prefix is globals only, now known present.
 			for i := cursor; i < next; i++ {
-				if c.toc[i].Kind == stream.KindGlobal {
-					classHave[c.toc[i].ClassName] = true
+				if toc[i].Kind == stream.KindGlobal {
+					classHave[toc[i].ClassName] = true
 				}
 			}
 			cursor = next + 1
 		} else {
-			res.mispredicts++
-			if err := c.demand(ctx, base+"/app", loader, ref, classHave, res); err != nil {
-				scancel()
-				<-loadDone
-				return fail(fmt.Errorf("fleet client %d: %w", c.id, err))
+			var units []stream.UnitInfo
+			if units, err = demandUnits(toc, ref, classHave); err != nil {
+				break
 			}
+			if err = s.Demand(ref, units); err != nil {
+				break
+			}
+			classHave[ref.Class] = true
 		}
 		satisfied[ref] = true
-		stall += time.Since(nb)
 		if res.firstInvocation == 0 {
 			res.firstInvocation = time.Since(start)
 		}
 		sleepScaled(ctx, thinkTime(think, c.cfg.ThinkMean), c.cfg.TimeScale)
 	}
-	execDone := time.Since(start)
 
-	// Drain the remaining stream (the cold tail), bounded like live's
-	// post-execution drain.
-	drain := time.NewTimer(c.cfg.GateTimeout)
-	defer drain.Stop()
-	select {
-	case <-loadDone:
-	case <-drain.C:
-		scancel()
-		<-loadDone
-		return fail(fmt.Errorf("fleet client %d: stream drain exceeded %v", c.id, c.cfg.GateTimeout))
-	case <-ctx.Done():
-		scancel()
-		<-loadDone
-		return fail(ctx.Err())
+	// Drain the remaining stream (the cold tail); any transfer failure
+	// fails the client.
+	st, ferr := s.Finish(err)
+	if err == nil {
+		err = ferr
 	}
-	c.mu.Lock()
-	serr := c.streamErr
-	c.mu.Unlock()
-	if serr != nil {
-		return fail(fmt.Errorf("fleet client %d: stream: %w", c.id, serr))
+	if err != nil {
+		return fail(err)
 	}
-
-	res.streamBytes = loader.Consumed()
-	integ := loader.Integrity()
-	res.corruptUnits, res.repaired = integ.CorruptUnits, integ.Repaired
-	res.fetch = c.fc.Stats()
-	if execDone > 0 {
-		o := 1 - float64(stall)/float64(execDone)
-		if o < 0 {
-			o = 0
-		}
-		if o > 1 {
-			o = 1
-		}
-		res.overlap = o
-	}
+	res.st = st
 	return res
 }
 
@@ -217,9 +147,9 @@ func (c *client) run(ctx context.Context) *clientResult {
 // not wait on them). If any unsatisfied body intervenes, the predicted
 // order was wrong for this need. Returns the matched index and whether
 // the need is in predicted order.
-func (c *client) scan(cursor int, ref classfile.Ref, satisfied map[classfile.Ref]bool) (int, bool) {
-	for i := cursor; i < len(c.toc); i++ {
-		u := c.toc[i]
+func scan(toc []stream.UnitInfo, cursor int, ref classfile.Ref, satisfied map[classfile.Ref]bool) (int, bool) {
+	for i := cursor; i < len(toc); i++ {
+		u := toc[i]
 		if u.Kind == stream.KindGlobal {
 			continue
 		}
@@ -230,118 +160,33 @@ func (c *client) scan(cursor int, ref classfile.Ref, satisfied map[classfile.Ref
 			return i, false
 		}
 	}
-	return len(c.toc), false
+	return len(toc), false
 }
 
-// onEvent publishes loader progress to the gate.
-func (c *client) onEvent(e stream.Event) {
-	c.mu.Lock()
-	switch e.Kind {
-	case stream.ClassLinked:
-		c.classReady[e.Class] = true
-	case stream.MethodReady:
-		c.methodReady[e.Method] = true
-	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
-}
-
-// waitReady blocks until ref's body and class have arrived and
-// verified, bounded by the configured gate timeout.
-func (c *client) waitReady(ref classfile.Ref) error {
-	expired := false
-	t := time.AfterFunc(c.cfg.GateTimeout, func() {
-		c.mu.Lock()
-		expired = true
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	})
-	defer t.Stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !(c.methodReady[ref] && c.classReady[ref.Class]) {
-		if c.streamErr != nil {
-			return c.streamErr
-		}
-		if c.done {
-			return fmt.Errorf("stream ended without delivering %v", ref)
-		}
-		if expired {
-			return fmt.Errorf("gate: %v not available after %v", ref, c.cfg.GateTimeout)
-		}
-		c.cond.Wait()
-	}
-	return nil
-}
-
-// demand pulls a mispredicted method's bytes with verified range
-// requests: the class's global unit first when the positional model
-// says the stream has not delivered it, then the body. Both feed the
-// loader, whose install is exactly-once, so racing the main stream is
-// safe. The fetch set is decided positionally, never from loader state,
-// keeping demand counts and bytes deterministic.
-func (c *client) demand(ctx context.Context, url string, loader *stream.Loader, ref classfile.Ref, classHave map[string]bool, res *clientResult) error {
-	var bodyU, globalU *stream.UnitInfo
-	for i := range c.toc {
-		u := &c.toc[i]
+// demandUnits is the positional demand set for a mispredicted need: the
+// class's global unit first when the model says the stream has not
+// delivered it, then the body. It is decided from the unit table and
+// the model alone, never from loader state, keeping demand counts and
+// bytes deterministic.
+func demandUnits(toc []stream.UnitInfo, ref classfile.Ref, classHave map[string]bool) ([]stream.UnitInfo, error) {
+	var global *stream.UnitInfo
+	for i := range toc {
+		u := &toc[i]
 		if u.Kind == stream.KindGlobal && u.ClassName == ref.Class {
-			globalU = u
+			global = u
 		}
-		if u.Kind == stream.KindBody && u.Method == ref {
-			bodyU = u
-			break
+		if u.Kind != stream.KindBody || u.Method != ref {
+			continue
 		}
-	}
-	if bodyU == nil {
-		return fmt.Errorf("method %v is not in the unit table", ref)
-	}
-	if !classHave[ref.Class] {
-		if globalU == nil {
-			return fmt.Errorf("class %q has no global unit", ref.Class)
+		if classHave[ref.Class] {
+			return []stream.UnitInfo{*u}, nil
 		}
-		if err := c.fetchAndFeed(ctx, url, loader, globalU, res); err != nil {
-			return err
+		if global == nil {
+			return nil, fmt.Errorf("class %q has no global unit", ref.Class)
 		}
-		classHave[ref.Class] = true
+		return []stream.UnitInfo{*global, *u}, nil
 	}
-	return c.fetchAndFeed(ctx, url, loader, bodyU, res)
-}
-
-// fetchAndFeed range-fetches one unit (verified against the unit
-// table's checksum) and installs it.
-func (c *client) fetchAndFeed(ctx context.Context, url string, loader *stream.Loader, u *stream.UnitInfo, res *clientResult) error {
-	res.demands++
-	payload, _, err := c.fc.FetchRangeVerified(ctx, url, u.Off, int64(u.Len), u.CRC)
-	if err != nil {
-		return fmt.Errorf("demand fetch of unit at %d: %w", u.Off, err)
-	}
-	res.demandBytes += int64(len(payload))
-	body := -1
-	if u.Kind == stream.KindBody {
-		body = u.Body
-	}
-	evs, err := loader.FeedDemand(u.Class, u.Kind, body, payload, u.CRC)
-	if err != nil {
-		return err
-	}
-	for _, e := range evs {
-		c.onEvent(e)
-	}
-	return nil
-}
-
-// repairUnit is the loader's Repair hook: re-fetch a corrupt unit's
-// bytes so server-side chaos heals instead of failing the client.
-func (c *client) repairUnit(ctx context.Context, url string, req stream.RepairRequest) ([]byte, error) {
-	for i := range c.toc {
-		u := &c.toc[i]
-		if u.Class == req.Class && u.Kind == req.Kind &&
-			(req.Kind == stream.KindGlobal || u.Body == req.Body) {
-			p, _, err := c.fc.FetchRangeVerified(ctx, url, u.Off, int64(u.Len), u.CRC)
-			return p, err
-		}
-	}
-	return nil, fmt.Errorf("corrupt unit (class %d, body %d) is not in the unit table", req.Class, req.Body)
+	return nil, fmt.Errorf("method %v is not in the unit table", ref)
 }
 
 // thinkTime draws one simulated execute interval from [mean/2, 3·mean/2).

@@ -125,7 +125,7 @@ func runCluster(ctx context.Context, cfg Config) (*Report, error) {
 	builds, fills, fallbacks := h.ClusterBuilds()
 	cr := &ClusterReport{
 		Nodes:          cfg.Cluster.Nodes,
-		VNodes:         cfg.Cluster.VNodes,
+		VNodes:         h.Ring().VNodes(),
 		RingSeed:       cfg.Cluster.RingSeed,
 		Keys:           len(cfg.Apps),
 		ClusterBuilds:  builds,

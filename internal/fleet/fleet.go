@@ -33,6 +33,7 @@ import (
 	"nonstrict/internal/apps"
 	"nonstrict/internal/classfile"
 	"nonstrict/internal/jir"
+	"nonstrict/internal/live"
 	"nonstrict/internal/server"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/vm"
@@ -70,8 +71,9 @@ type Config struct {
 	// Workers bounds concurrently active clients (default 128), keeping
 	// memory flat while the total client count scales arbitrarily.
 	Workers int
-	// GateTimeout bounds each in-order wait and the final stream drain,
-	// in wall-clock time (default 30s). A wedged transfer fails the
+	// GateTimeout bounds each need's gate wait and the final stream
+	// drain, in wall-clock time, as live.Options.GateTimeout does (zero
+	// means live.DefaultGateTimeout). A wedged transfer fails the
 	// client instead of hanging the fleet.
 	GateTimeout time.Duration
 	// CacheBytes bounds the server's artifact cache (0 = server default).
@@ -88,6 +90,10 @@ type Config struct {
 	// the consistent-hash router instead of a single server (zero =
 	// single server). Mutually exclusive with Restart.
 	Cluster ClusterFleetConfig
+
+	// onStats, when set, sees every successful client's session
+	// statistics as it finishes (from many goroutines at once).
+	onStats func(*live.Stats)
 }
 
 // ClusterFleetConfig configures the cluster scenario: the fleet's
@@ -153,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 128
-	}
-	if c.GateTimeout == 0 {
-		c.GateTimeout = 30 * time.Second
 	}
 	if c.Restart.Enabled && c.Restart.AfterFraction <= 0 {
 		c.Restart.AfterFraction = 0.5
@@ -481,7 +484,11 @@ func driveClients(ctx context.Context, cfg Config, agg *aggregator, models map[s
 				agg.add(linkIdx, &clientResult{failed: true, err: ctx.Err()})
 				return
 			}
-			agg.add(linkIdx, c.run(ctx))
+			r := c.run(ctx)
+			if cfg.onStats != nil && !r.failed {
+				cfg.onStats(r.st)
+			}
+			agg.add(linkIdx, r)
 		}(linkIdx, offset)
 	}
 	wg.Wait()
@@ -587,18 +594,19 @@ func (a *aggregator) add(link int, r *clientResult) {
 		}
 		return
 	}
-	la.needs += r.needs
-	la.mispredicts += r.mispredicts
-	la.demands += r.demands
-	la.streamBytes += r.streamBytes
-	la.demandBytes += r.demandBytes
-	la.corruptUnits += r.corruptUnits
-	la.repaired += r.repaired
-	la.requests += r.fetch.Requests
-	la.retries += r.fetch.Retries
-	la.resumes += r.fetch.Resumes
+	st := r.st
+	la.needs += int64(len(st.Waits))
+	la.mispredicts += int64(st.Mispredicts)
+	la.demands += int64(st.DemandFetches)
+	la.streamBytes += st.StreamBytes
+	la.demandBytes += st.DemandBytes
+	la.corruptUnits += st.Integrity.CorruptUnits
+	la.repaired += st.Integrity.Repaired
+	la.requests += st.Transfer.Requests
+	la.retries += st.Transfer.Retries
+	la.resumes += st.Transfer.Resumes
 	la.firstMs = append(la.firstMs, float64(r.firstInvocation)/float64(time.Millisecond))
-	la.overlapSum += r.overlap
+	la.overlapSum += st.Overlap()
 	la.overlapN++
 }
 

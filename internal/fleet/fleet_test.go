@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"nonstrict/internal/cluster"
+	"nonstrict/internal/live"
 	"nonstrict/internal/server"
 	"nonstrict/internal/stream"
 	"nonstrict/internal/synth"
@@ -165,6 +167,28 @@ func TestFleetSeedChangesSchedule(t *testing.T) {
 // bodies, come back clean) and past the stream header (which no repair
 // can heal), but well inside the stream so corruption actually fires.
 func TestFleetServerChaos(t *testing.T) {
+	cfg := corruptionConfig(t)
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repaired int64
+	for _, l := range rep.Links {
+		if l.Failures != 0 {
+			t.Fatalf("link %s: %d clients failed under corruption chaos: %v", l.Link, l.Failures, l.Errors)
+		}
+		repaired += l.Repaired
+	}
+	if repaired == 0 {
+		t.Fatal("no units were repaired; the chaos schedule did not exercise the repair path")
+	}
+}
+
+// corruptionConfig is a one-app fleet whose server silently corrupts
+// one byte per period, the period larger than every unit so each
+// corruption lands in a single unit the repair hook can heal.
+func corruptionConfig(t *testing.T) Config {
+	t.Helper()
 	cfg := fastConfig(t, 8)
 	cfg.Apps = cfg.Apps[:1]
 	art, err := server.Build(context.Background(), server.Key{App: cfg.Apps[0], Order: cfg.Order})
@@ -185,20 +209,49 @@ func TestFleetServerChaos(t *testing.T) {
 		t.Fatalf("no period larger than every unit (%d) fits the stream (%d bytes)", period, len(art.Data))
 	}
 	cfg.Fault = stream.Fault{CorruptEvery: period, Seed: 7}
+	return cfg
+}
+
+// TestFleetWaitsDecomposeExactly: every fleet client's waits come from
+// live's gate, so each must split exactly into transfer, repair, and
+// gate time (as TestGateSoakSeeded requires of live.Run), here under
+// seeded corruption so the repair windows are non-empty.
+func TestFleetWaitsDecomposeExactly(t *testing.T) {
+	cfg := corruptionConfig(t)
+	var mu sync.Mutex
+	var waits, repairs int
+	var repairTime time.Duration
+	cfg.onStats = func(st *live.Stats) {
+		mu.Lock()
+		defer mu.Unlock()
+		repairs += int(st.Integrity.Repaired)
+		for _, w := range st.Waits {
+			waits++
+			repairTime += w.Repair
+			if w.Transfer+w.Repair+w.Gate != w.Wait {
+				t.Errorf("wait for %v decomposes to %v+%v+%v != %v",
+					w.Method, w.Transfer, w.Repair, w.Gate, w.Wait)
+			}
+		}
+	}
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var repaired int64
+	var needs int64
 	for _, l := range rep.Links {
 		if l.Failures != 0 {
-			t.Fatalf("link %s: %d clients failed under corruption chaos: %v", l.Link, l.Failures, l.Errors)
+			t.Fatalf("link %s: %d clients failed: %v", l.Link, l.Failures, l.Errors)
 		}
-		repaired += l.Repaired
+		needs += l.Needs
 	}
-	if repaired == 0 {
+	if int64(waits) != needs || waits == 0 {
+		t.Fatalf("%d gate waits for %d needs; every need must cross the gate once", waits, needs)
+	}
+	if repairs == 0 {
 		t.Fatal("no units were repaired; the chaos schedule did not exercise the repair path")
 	}
+	t.Logf("%d waits, %d repaired units, %v of wait attributed to repair", waits, repairs, repairTime)
 }
 
 // TestFleetRestart is the fleet-scale crash-restart scenario: after a
@@ -275,6 +328,9 @@ func TestFleetClusterKill(t *testing.T) {
 	}
 	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if cr.VNodes != cluster.DefaultVNodes {
+		t.Fatalf("report echoes %d vnodes; the config left it zero, so the ring ran %d", cr.VNodes, cluster.DefaultVNodes)
 	}
 	if cr.ClusterBuilds != int64(len(cfg.Apps)) {
 		t.Fatalf("cluster-wide builds = %d for %d keys; prewarming should pin them equal", cr.ClusterBuilds, len(cfg.Apps))

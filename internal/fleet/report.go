@@ -145,6 +145,9 @@ type Report struct {
 // builds == len(apps) directly should use this instead.
 func (r *Report) Validate() error {
 	if c := r.Cluster; c != nil {
+		if c.VNodes < 1 {
+			return fmt.Errorf("fleet: cluster report echoes %d vnodes; the ring always runs at least 1", c.VNodes)
+		}
 		if c.ClusterBuilds > int64(c.Keys) {
 			return fmt.Errorf("fleet: cluster-wide builds %d exceed %d keys; peer fill did not deduplicate the pipeline", c.ClusterBuilds, c.Keys)
 		}

@@ -400,7 +400,7 @@ func TestDemandFetchSurvivesSplicedCorruption(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 
-	rt := &runtime{
+	rt := &Session{
 		opts:   Options{URL: srv.URL + "/app"},
 		client: fastClient(),
 		ctx:    context.Background(),

@@ -81,7 +81,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.timers = keep
 	c.mu.Unlock()
 	for _, t := range due {
-		t.f() // outside c.mu: callbacks take the runtime's lock
+		t.f() // outside c.mu: callbacks take the session's lock
 	}
 }
 
@@ -103,11 +103,11 @@ func (c *fakeClock) activeTimers() int {
 	return n
 }
 
-// gateRuntime builds the minimal runtime a gate wait needs, on a fake
+// gateRuntime builds the minimal session a gate wait needs, on a fake
 // clock, with no stream behind it (so nothing ever becomes ready
 // except by the test's hand).
-func gateRuntime(fc *fakeClock, timeout time.Duration) *runtime {
-	rt := &runtime{
+func gateRuntime(fc *fakeClock, timeout time.Duration) *Session {
+	rt := &Session{
 		opts:        Options{GateTimeout: timeout},
 		classReady:  map[string]bool{},
 		methodReady: map[classfile.Ref]bool{},

@@ -1,15 +1,17 @@
 // Package live runs a program while its bytes are still arriving — the
-// paper's non-strict execution, for real rather than simulated. It
-// pipelines FetchClient → stream.Loader → vm in goroutines: the fetch
-// goroutine streams the interleaved virtual file and feeds the loader,
-// whose verified units flow into the VM's incremental link state, while
-// the VM goroutine executes. First invocation of a method blocks at the
-// availability gate until the loader fires MethodReady; a method wanted
-// out of predicted order is demand-fetched through a byte-range request
-// against the writer's unit table (§5.1's misprediction correction
-// applied to the §5.2 virtual file). The runtime records wall-clock
-// first-invocation latencies and overlap statistics, the measured
-// counterparts of the cycle simulator's predictions.
+// paper's non-strict execution, for real rather than simulated. A
+// Session pipelines FetchClient → stream.Loader → gate in goroutines:
+// the fetch goroutine streams the interleaved virtual file and feeds
+// the loader, whose verified units flow into the VM's incremental link
+// state. First invocation of a method blocks at the availability gate
+// until the loader fires MethodReady; a method wanted out of predicted
+// order is demand-fetched through a byte-range request against the
+// writer's unit table (§5.1's misprediction correction applied to the
+// §5.2 virtual file). Run drives a Session with the VM; the fleet
+// simulator drives the same Session from a recorded need trace. The
+// session records wall-clock first-invocation latencies and overlap
+// statistics, the measured counterparts of the cycle simulator's
+// predictions.
 package live
 
 import (
@@ -190,24 +192,35 @@ func (s *Stats) Attributions() []Attribution {
 	return out
 }
 
-// runtime is the shared state between the transfer, demand, and VM
-// goroutines. Its mutex orders strictly before the loader's: gate waits
-// hold rt.mu and may query the loader, while event delivery and demand
-// feeding take the loader's lock first and rt.mu only after release.
-type runtime struct {
-	opts   Options
-	ctx    context.Context // canceled when the run is abandoned
-	client *stream.FetchClient
-	loader *stream.Loader
-	lv     *vm.LiveLinked
-	toc    []stream.UnitInfo
-	obs    *obs.Recorder
-	start  time.Time
+// Session is one client's overlapped transfer and the one availability
+// gate in front of it. It owns the unit-table fetch, the transfer
+// goroutine feeding the stream.Loader, the gate's ready maps and
+// deadline, demand fetches, the repair hook, the bounded drain, and the
+// measured Stats with their exact attribution. Two drivers share it:
+// Run executes the VM against it (vm.Gate's AwaitMethod and AwaitClass
+// predict order themselves from the loader's progress), and the fleet
+// simulator replays a recorded need trace, deciding order from its own
+// positional model and calling Await or Demand.
+//
+// Its mutex orders strictly before the loader's: gate waits hold s.mu
+// and may query the loader, while event delivery and demand feeding
+// take the loader's lock first and s.mu only after release.
+type Session struct {
+	opts         Options
+	ctx          context.Context // canceled when the session is abandoned
+	cancel       context.CancelFunc
+	client       *stream.FetchClient
+	loader       *stream.Loader
+	lv           *vm.LiveLinked
+	toc          []stream.UnitInfo
+	obs          *obs.Recorder
+	start        time.Time
+	transferDone chan struct{}
 
 	// now and afterFunc are the gate's time sources, injectable for
 	// deterministic deadline tests; nil means the real clock. The gate
 	// treats now as advisory wall time (measurement only) and afterFunc
-	// as the sole monotonic authority for deadlines — see AwaitMethod.
+	// as the sole monotonic authority for deadlines — see gate.
 	now       func() time.Time
 	afterFunc func(time.Duration, func()) gateTimer
 
@@ -236,25 +249,25 @@ type runtime struct {
 // substitute a hand-cranked clock.
 type gateTimer interface{ Stop() bool }
 
-// span is a half-open window [From, To) measured from run start.
+// span is a half-open window [From, To) measured from session start.
 type span struct{ From, To time.Duration }
 
-func (rt *runtime) clockNow() time.Time {
-	if rt.now != nil {
-		return rt.now()
+func (s *Session) clockNow() time.Time {
+	if s.now != nil {
+		return s.now()
 	}
 	return time.Now()
 }
 
-func (rt *runtime) armGate(d time.Duration, f func()) gateTimer {
-	if rt.afterFunc != nil {
-		return rt.afterFunc(d, f)
+func (s *Session) armGate(d time.Duration, f func()) gateTimer {
+	if s.afterFunc != nil {
+		return s.afterFunc(d, f)
 	}
 	return time.AfterFunc(d, f)
 }
 
-// sinceStart is the run clock: elapsed time since Run began.
-func (rt *runtime) sinceStart() time.Duration { return rt.clockNow().Sub(rt.start) }
+// sinceStart is the session clock: elapsed time since the stream began.
+func (s *Session) sinceStart() time.Duration { return s.clockNow().Sub(s.start) }
 
 // attributeWait splits one gate wait [began, woke) into its transfer /
 // repair / gate components. ready is when the awaited bytes became
@@ -293,11 +306,35 @@ func attributeWait(began, woke, ready time.Duration, repairs []span) (transfer, 
 // the finished machine and the measured overlap statistics. The machine
 // is valid (with partial profile) even when err is non-nil.
 func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
+	s, err := Start(ctx, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	runOpts := opts.Run
+	if s.obs != nil {
+		inner := runOpts.OnFirstUse
+		runOpts.OnFirstUse = func(ref classfile.Ref) {
+			s.obs.Emit(obs.FirstInvocation, ref.String(), 0, 0)
+			if inner != nil {
+				inner(ref)
+			}
+		}
+	}
+	m, runErr := s.lv.Run(runOpts)
+	st, _ := s.Finish(runErr)
+	return m, st, runErr
+}
+
+// Start opens a session: it fetches the unit table when opts.TOCURL is
+// set (enabling demand fetches and repair), then starts streaming
+// opts.URL into the loader on its own goroutine. opts.Run is unused;
+// the caller drives the gate and must end the session with Finish.
+func Start(ctx context.Context, opts Options) (*Session, error) {
 	client := opts.Client
 	if client == nil {
 		client = &stream.FetchClient{}
 	}
-	rt := &runtime{
+	s := &Session{
 		opts:        opts,
 		client:      client,
 		loader:      stream.NewLoader(opts.Name, opts.MainClass, nil),
@@ -309,126 +346,138 @@ func Run(ctx context.Context, opts Options) (*vm.Machine, *Stats, error) {
 		methodsAt:   make(map[classfile.Ref]time.Duration),
 		classesAt:   make(map[string]time.Duration),
 	}
-	rt.cond = sync.NewCond(&rt.mu)
-	rt.loader.Obs = opts.Obs
-	rt.lv = vm.NewLive(opts.Name, opts.MainClass, rt)
+	s.cond = sync.NewCond(&s.mu)
+	s.loader.Obs = opts.Obs
+	s.lv = vm.NewLive(opts.Name, opts.MainClass, s)
 
 	if opts.TOCURL != "" {
 		var buf bytes.Buffer
 		if _, err := client.Fetch(ctx, opts.TOCURL, &buf); err != nil {
-			return nil, nil, fmt.Errorf("live: fetching unit table: %w", err)
+			return nil, fmt.Errorf("live: fetching unit table: %w", err)
 		}
 		toc, err := stream.ParseTOC(buf.Bytes())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rt.toc = toc
+		s.toc = toc
 		// With a unit table in hand, a corrupt main-stream unit can be
 		// healed by re-fetching just its bytes instead of failing the
 		// transfer.
-		rt.loader.Repair = rt.repairUnit
+		s.loader.Repair = s.repairUnit
 	}
 
-	tctx, tcancel := context.WithCancel(ctx)
-	defer tcancel()
-	rt.ctx = tctx
-	rt.start = rt.clockNow()
-	transferDone := make(chan struct{})
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	s.start = s.clockNow()
+	s.transferDone = make(chan struct{})
 	go func() {
-		defer close(transferDone)
-		rt.transferLoop(tctx)
+		defer close(s.transferDone)
+		s.transferLoop()
 	}()
+	return s, nil
+}
 
-	runOpts := opts.Run
-	if rt.obs != nil {
-		inner := runOpts.OnFirstUse
-		runOpts.OnFirstUse = func(ref classfile.Ref) {
-			rt.obs.Emit(obs.FirstInvocation, ref.String(), 0, 0)
-			if inner != nil {
-				inner(ref)
-			}
-		}
+// Units returns the unit table (nil without one). Callers must not
+// modify it.
+func (s *Session) Units() []stream.UnitInfo { return s.toc }
+
+// Finish ends the session once its driver is done: it stamps the
+// execution end, abandons the transfer if execErr is non-nil, waits for
+// the rest of the stream (bounded by the gate timeout), and returns the
+// measured statistics. The error says why the stream did not complete —
+// a transfer failure, a degraded stream, a drain past the deadline, or
+// cancellation — and is nil when every byte arrived.
+func (s *Session) Finish(execErr error) (*Stats, error) {
+	execDone := s.sinceStart()
+	if execErr != nil {
+		s.cancel() // abandon whatever is still streaming
 	}
-	m, runErr := rt.lv.Run(runOpts)
-	execDone := rt.sinceStart()
-	if runErr != nil {
-		tcancel() // abandon whatever is still streaming
-	}
-	// Bound the post-execution drain: a tail that stalls without failing
-	// must not hang the run after execution already finished.
-	if d := gateTimeout(opts.GateTimeout); d > 0 {
+	// Bound the drain: a tail that stalls without failing must not hang
+	// the session after execution already finished.
+	var err error
+	if d := gateTimeout(s.opts.GateTimeout); d > 0 {
 		drain := time.NewTimer(d)
 		select {
-		case <-transferDone:
+		case <-s.transferDone:
 			drain.Stop()
 		case <-drain.C:
-			tcancel()
-			<-transferDone
+			err = fmt.Errorf("%w: stream drain not done after %v", ErrGateTimeout, d)
+			s.cancel()
+			<-s.transferDone
 		}
 	} else {
-		<-transferDone
+		<-s.transferDone
 	}
+	if err == nil && execErr == nil {
+		err = s.ctx.Err()
+	}
+	s.cancel()
 
-	rt.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := &Stats{
-		Transfer:      client.Stats(),
-		StreamBytes:   rt.loader.Consumed(),
-		DemandBytes:   rt.loader.DemandBytes(),
-		DemandFetches: rt.demands,
-		Mispredicts:   rt.mispredicts,
+		Transfer:      s.client.Stats(),
+		StreamBytes:   s.loader.Consumed(),
+		DemandBytes:   s.loader.DemandBytes(),
+		DemandFetches: s.demands,
+		Mispredicts:   s.mispredicts,
 		ExecDone:      execDone,
-		TransferDone:  rt.transferEnd,
-		StallTime:     rt.stall,
-		Waits:         rt.waits,
-		Classes:       rt.lv.Classes(),
-		Methods:       rt.lv.Methods(),
-		Integrity:     rt.loader.Integrity(),
-		Refetches:     rt.refetches,
+		TransferDone:  s.transferEnd,
+		StallTime:     s.stall,
+		Waits:         s.waits,
+		Classes:       s.lv.Classes(),
+		Methods:       s.lv.Methods(),
+		Integrity:     s.loader.Integrity(),
+		Refetches:     s.refetches,
 	}
-	if rt.degraded != nil {
-		st.Degraded = rt.degraded.Error()
-	}
-	rt.mu.Unlock()
 	if len(st.Waits) > 0 {
 		st.FirstRunnable = st.Waits[0].At + st.Waits[0].Wait
 	}
-	return m, st, runErr
+	if s.degraded != nil {
+		st.Degraded = s.degraded.Error()
+		if err == nil {
+			err = s.degraded
+		}
+	}
+	if s.err != nil {
+		err = s.err
+	}
+	return st, err
 }
 
 // transferLoop streams the virtual file into the loader until EOF or
-// failure, then marks the runtime done and wakes every gate waiter.
+// failure, then marks the session done and wakes every gate waiter.
 // When the stream dies with a transport or integrity failure and a unit
 // table is available, the failure degrades instead of killing the run:
 // the remaining units are simply demand-fetched — strict fetching of
 // whatever non-strict delivery could not provide.
-func (rt *runtime) transferLoop(ctx context.Context) {
+func (s *Session) transferLoop() {
 	err := func() error {
-		body, err := rt.client.Open(ctx, rt.opts.URL)
+		body, err := s.client.Open(s.ctx, s.opts.URL)
 		if err != nil {
 			return err
 		}
 		defer body.Close()
-		return rt.loader.Load(body, func(e stream.Event) {
-			if herr := rt.handleEvent(e); herr != nil {
-				rt.fail(herr)
+		return s.loader.Load(body, func(e stream.Event) {
+			if herr := s.handleEvent(e); herr != nil {
+				s.fail(herr)
 			}
 		})
 	}()
-	rt.mu.Lock()
-	rt.done = true
-	rt.transferEnd = rt.sinceStart()
-	if err != nil && ctx.Err() == nil {
-		if rt.toc != nil && degradable(err) {
-			if rt.degraded == nil {
-				rt.degraded = fmt.Errorf("live: transfer: %w", err)
-				rt.obs.Emit(obs.Degraded, err.Error(), 0, 0)
+	s.mu.Lock()
+	s.done = true
+	s.transferEnd = s.sinceStart()
+	if err != nil && s.ctx.Err() == nil {
+		if s.toc != nil && degradable(err) {
+			if s.degraded == nil {
+				s.degraded = fmt.Errorf("live: transfer: %w", err)
+				s.obs.Emit(obs.Degraded, err.Error(), 0, 0)
 			}
-		} else if rt.err == nil {
-			rt.err = fmt.Errorf("live: transfer: %w", err)
+		} else if s.err == nil {
+			s.err = fmt.Errorf("live: transfer: %w", err)
 		}
 	}
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // degradable reports whether a stream failure leaves the demand path
@@ -445,47 +494,43 @@ func degradable(err error) bool {
 // handleEvent publishes one loader event to the gate. AddClass runs
 // before the class is marked ready, so a waiter released by AwaitClass
 // always finds the class registered in the link state.
-func (rt *runtime) handleEvent(e stream.Event) error {
+func (s *Session) handleEvent(e stream.Event) error {
 	switch e.Kind {
 	case stream.ClassLinked:
-		c := rt.loader.LoadedClass(e.Class)
+		c := s.loader.LoadedClass(e.Class)
 		if c == nil {
 			return fmt.Errorf("live: loader fired ClassLinked for unknown class %q", e.Class)
 		}
-		if err := rt.lv.AddClass(c); err != nil {
+		if err := s.lv.AddClass(c); err != nil {
 			return err
 		}
-		rt.mu.Lock()
-		if !rt.classReady[e.Class] {
-			rt.classReady[e.Class] = true
-			if rt.classesAt != nil {
-				rt.classesAt[e.Class] = rt.sinceStart()
-			}
+		s.mu.Lock()
+		if !s.classReady[e.Class] {
+			s.classReady[e.Class] = true
+			s.classesAt[e.Class] = s.sinceStart()
 		}
-		rt.mu.Unlock()
-		rt.cond.Broadcast()
+		s.mu.Unlock()
+		s.cond.Broadcast()
 	case stream.MethodReady:
-		rt.mu.Lock()
-		if !rt.methodReady[e.Method] {
-			rt.methodReady[e.Method] = true
-			if rt.methodsAt != nil {
-				rt.methodsAt[e.Method] = rt.sinceStart()
-			}
+		s.mu.Lock()
+		if !s.methodReady[e.Method] {
+			s.methodReady[e.Method] = true
+			s.methodsAt[e.Method] = s.sinceStart()
 		}
-		rt.mu.Unlock()
-		rt.cond.Broadcast()
+		s.mu.Unlock()
+		s.cond.Broadcast()
 	}
 	return nil
 }
 
 // fail records the first terminal error and wakes all gate waiters.
-func (rt *runtime) fail(err error) {
-	rt.mu.Lock()
-	if rt.err == nil {
-		rt.err = err
+func (s *Session) fail(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
 	}
-	rt.mu.Unlock()
-	rt.cond.Broadcast()
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // gateTimeout resolves an Options.GateTimeout value: zero means the
@@ -502,7 +547,7 @@ func gateTimeout(d time.Duration) time.Duration {
 
 // gateBudget arms the deadline for one gate wait: a single timer for
 // the wait's whole budget, armed once at entry, that flips *expired
-// under rt.mu and broadcasts. The returned stop releases the timer.
+// under s.mu and broadcasts. The returned stop releases the timer.
 //
 // The budget is deliberately a DURATION handed to one timer, never an
 // absolute deadline re-derived from the clock. The previous
@@ -514,85 +559,144 @@ func gateTimeout(d time.Duration) time.Duration {
 // timer tracks the monotonic clock, and because the budget is never
 // recomputed, a wall step cannot touch it.
 //
-// The expired flag is written under rt.mu before the broadcast, so the
+// The expired flag is written under s.mu before the broadcast, so the
 // wakeup cannot be missed: if the waiter has not parked yet it still
-// holds rt.mu and the callback blocks until cond.Wait releases it.
-func (rt *runtime) gateBudget(expired *bool) (stop func()) {
-	d := gateTimeout(rt.opts.GateTimeout)
+// holds s.mu and the callback blocks until cond.Wait releases it.
+func (s *Session) gateBudget(expired *bool) (stop func()) {
+	d := gateTimeout(s.opts.GateTimeout)
 	if d <= 0 {
 		return func() {}
 	}
-	t := rt.armGate(d, func() {
-		rt.mu.Lock()
+	t := s.armGate(d, func() {
+		s.mu.Lock()
 		*expired = true
-		rt.mu.Unlock()
-		rt.cond.Broadcast()
+		s.mu.Unlock()
+		s.cond.Broadcast()
 	})
 	return func() { t.Stop() }
 }
 
-// AwaitMethod implements vm.Gate: it blocks until ref's body has
-// arrived and verified (and its class is linked — a demand-raced
-// MethodReady can otherwise outrun ClassLinked delivery), launching a
-// demand fetch when the stream will not deliver ref next. The wait is
-// bounded by Options.GateTimeout, so a transfer that silently stops
-// making progress surfaces as ErrGateTimeout rather than a hang.
-func (rt *runtime) AwaitMethod(ref classfile.Ref) error {
-	began := rt.clockNow()
+// gate is the one availability gate every wait passes. It blocks until
+// ready holds, offering launch (when non-nil) the chance to start a
+// demand fetch on every pass, and fails fast when the session failed,
+// when the stream is over with no demand in flight (inFlight) that
+// could still deliver, or when the wait outlives Options.GateTimeout —
+// so a transfer that silently stops making progress surfaces as
+// ErrGateTimeout rather than a hang. On release the wait is charged to
+// the stall total and handed to record (when non-nil) with its start,
+// measured from session start, and its length. label names the awaited
+// unit in errors and obs events. ready, launch, inFlight, and record
+// run under s.mu; the caller must not hold it.
+func (s *Session) gate(label string, ready func() bool, launch func(), inFlight func() bool, record func(at, w time.Duration)) error {
+	began := s.clockNow()
 	expired := false
-	stop := rt.gateBudget(&expired)
+	stop := s.gateBudget(&expired)
 	defer stop()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	blocked := false
-	for !(rt.methodReady[ref] && rt.classReady[ref.Class]) {
-		if rt.err != nil {
-			return rt.err
+	for !ready() {
+		if s.err != nil {
+			return s.err
 		}
-		launched := rt.maybeDemandMethod(ref)
-		if rt.done && !launched && !rt.demanded[ref] {
-			if rt.degraded != nil {
-				return fmt.Errorf("live: method %v unavailable after stream failure: %w", ref, rt.degraded)
+		if launch != nil {
+			launch()
+		}
+		if s.done && !inFlight() {
+			if s.degraded != nil {
+				return fmt.Errorf("live: %s unavailable after stream failure: %w", label, s.degraded)
 			}
-			return fmt.Errorf("live: method %v never arrived and cannot be demanded", ref)
+			return fmt.Errorf("live: %s never arrived and cannot be demanded", label)
 		}
 		if expired {
-			return fmt.Errorf("%w: method %v not available after %v", ErrGateTimeout, ref, gateTimeout(rt.opts.GateTimeout))
+			return fmt.Errorf("%w: %s not available after %v", ErrGateTimeout, label, gateTimeout(s.opts.GateTimeout))
 		}
 		if !blocked {
 			blocked = true
-			rt.obs.Emit(obs.GateBlock, ref.String(), 0, 0)
+			s.obs.Emit(obs.GateBlock, label, 0, 0)
 		}
-		rt.cond.Wait()
+		s.cond.Wait()
 	}
-	woke := rt.clockNow()
-	w := woke.Sub(began)
+	w := s.clockNow().Sub(began)
 	if w < 0 {
 		w = 0 // injected clocks may be coarse or stepped
 	}
-	at := began.Sub(rt.start)
-	transfer, repair, gate := attributeWait(at, at+w, rt.methodReadyAt(ref), rt.repairSpans)
-	rt.stall += w
-	rt.waits = append(rt.waits, Wait{
-		Method:   ref,
-		At:       at,
-		Wait:     w,
-		Transfer: transfer,
-		Repair:   repair,
-		Gate:     gate,
-		Demand:   rt.demanded[ref],
-	})
+	s.stall += w
+	if record != nil {
+		record(began.Sub(s.start), w)
+	}
 	if blocked {
-		rt.obs.Emit(obs.GateUnblock, ref.String(), 0, w)
+		s.obs.Emit(obs.GateUnblock, label, 0, w)
 	}
 	return nil
 }
 
+// awaitMethod gates on ref's body having arrived and verified and its
+// class having linked (a demand-raced MethodReady can otherwise outrun
+// ClassLinked delivery), plus landed when non-nil, recording the
+// crossing as a Wait.
+func (s *Session) awaitMethod(ref classfile.Ref, landed func() bool, launch func()) error {
+	return s.gate(ref.String(),
+		func() bool {
+			return s.methodReady[ref] && s.classReady[ref.Class] && (landed == nil || landed())
+		},
+		launch,
+		func() bool { return s.demanded[ref] },
+		func(at, w time.Duration) {
+			transfer, repair, gate := attributeWait(at, at+w, s.methodReadyAt(ref), s.repairSpans)
+			s.waits = append(s.waits, Wait{
+				Method:   ref,
+				At:       at,
+				Wait:     w,
+				Transfer: transfer,
+				Repair:   repair,
+				Gate:     gate,
+				Demand:   s.demanded[ref],
+			})
+		})
+}
+
+// AwaitMethod implements vm.Gate: it blocks until ref is runnable,
+// launching a demand fetch when the stream will not deliver ref next.
+func (s *Session) AwaitMethod(ref classfile.Ref) error {
+	return s.awaitMethod(ref, nil, func() { s.maybeDemandMethod(ref) })
+}
+
+// Await blocks until ref is runnable without ever demand-fetching it:
+// the caller has decided ref arrives in predicted stream order.
+func (s *Session) Await(ref classfile.Ref) error { return s.awaitMethod(ref, nil, nil) }
+
+// Demand corrects a misprediction the caller detected: it range-fetches
+// exactly units, in order, feeding each to the loader, and blocks until
+// they have all landed and ref is runnable — even when the main stream
+// delivered ref first. The caller picks the units (ref's body, preceded
+// by its class's global unit when the caller's own model says the
+// stream has not delivered it), so demand counts and bytes follow the
+// caller's model, never the loader's progress.
+func (s *Session) Demand(ref classfile.Ref, units []stream.UnitInfo) error {
+	launched, fetched := false, false
+	return s.awaitMethod(ref, func() bool { return fetched }, func() {
+		if launched {
+			return
+		}
+		launched = true
+		s.demanded[ref] = true
+		s.issue(ref.String(), func() {
+			if s.fetchUnits(units) {
+				s.mu.Lock()
+				fetched = true
+				s.mu.Unlock()
+				s.cond.Broadcast()
+			}
+		})
+	})
+}
+
 // methodReadyAt is when both of ref's gate conditions (body verified,
-// class linked) held, measured from run start. Caller holds rt.mu.
-func (rt *runtime) methodReadyAt(ref classfile.Ref) time.Duration {
-	ready := rt.methodsAt[ref]
-	if c := rt.classesAt[ref.Class]; c > ready {
+// class linked) held, measured from session start. Caller holds s.mu.
+func (s *Session) methodReadyAt(ref classfile.Ref) time.Duration {
+	ready := s.methodsAt[ref]
+	if c := s.classesAt[ref.Class]; c > ready {
 		ready = c
 	}
 	return ready
@@ -600,96 +704,65 @@ func (rt *runtime) methodReadyAt(ref classfile.Ref) time.Duration {
 
 // AwaitClass implements vm.Gate: it blocks until the class's global
 // data has linked, demand-fetching the global unit when it is out of
-// predicted order. Bounded by Options.GateTimeout like AwaitMethod.
-func (rt *runtime) AwaitClass(class string) error {
-	began := rt.clockNow()
-	expired := false
-	stop := rt.gateBudget(&expired)
-	defer stop()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	blocked := false
-	for !rt.classReady[class] {
-		if rt.err != nil {
-			return rt.err
-		}
-		launched := rt.maybeDemandClass(class)
-		if rt.done && !launched && !rt.classDem[class] {
-			if rt.degraded != nil {
-				return fmt.Errorf("live: class %q unavailable after stream failure: %w", class, rt.degraded)
-			}
-			return fmt.Errorf("live: class %q never arrived and cannot be demanded", class)
-		}
-		if expired {
-			return fmt.Errorf("%w: class %q not available after %v", ErrGateTimeout, class, gateTimeout(rt.opts.GateTimeout))
-		}
-		if !blocked {
-			blocked = true
-			rt.obs.Emit(obs.GateBlock, "class "+class, 0, 0)
-		}
-		rt.cond.Wait()
-	}
-	w := rt.clockNow().Sub(began)
-	if w < 0 {
-		w = 0
-	}
-	rt.stall += w
-	if blocked {
-		rt.obs.Emit(obs.GateUnblock, "class "+class, 0, w)
-	}
-	return nil
+// predicted order.
+func (s *Session) AwaitClass(class string) error {
+	return s.gate("class "+class,
+		func() bool { return s.classReady[class] },
+		func() { s.maybeDemandClass(class) },
+		func() bool { return s.classDem[class] },
+		nil)
 }
 
-// maybeDemandMethod decides whether ref is out of predicted order — the
-// next body unit the main stream will deliver is a different method —
-// and if so launches a demand fetch. Reports whether a fetch was
-// launched. Caller holds rt.mu.
-func (rt *runtime) maybeDemandMethod(ref classfile.Ref) bool {
-	if rt.toc == nil || rt.demanded[ref] {
-		return false
+// issue counts a misprediction and starts its demand fetch on its own
+// goroutine. Caller holds s.mu.
+func (s *Session) issue(label string, fetch func()) {
+	s.mispredicts++
+	s.obs.Emit(obs.DemandIssue, label, 0, 0)
+	go fetch()
+}
+
+// maybeDemandMethod demand-fetches ref when it is out of predicted
+// order — the next body unit the main stream will deliver is a
+// different method. Caller holds s.mu.
+func (s *Session) maybeDemandMethod(ref classfile.Ref) {
+	if s.toc == nil || s.demanded[ref] {
+		return
 	}
-	if !rt.done && !rt.outOfOrder(func(u stream.UnitInfo) bool { return u.Method == ref }) {
-		return false // arriving next anyway; cheaper to wait
+	if !s.done && !s.outOfOrder(func(u stream.UnitInfo) bool { return u.Method == ref }) {
+		return // arriving next anyway; cheaper to wait
 	}
-	rt.demanded[ref] = true
-	rt.mispredicts++
-	rt.obs.Emit(obs.DemandIssue, ref.String(), 0, 0)
-	go rt.demandMethod(ref)
-	return true
+	s.demanded[ref] = true
+	s.issue(ref.String(), func() { s.demandMethod(ref) })
 }
 
 // maybeDemandClass is maybeDemandMethod for a class's global unit.
-// Caller holds rt.mu.
-func (rt *runtime) maybeDemandClass(class string) bool {
-	if rt.toc == nil || rt.classDem[class] {
-		return false
+// Caller holds s.mu.
+func (s *Session) maybeDemandClass(class string) {
+	if s.toc == nil || s.classDem[class] {
+		return
 	}
-	match := func(u stream.UnitInfo) bool { return u.Kind == stream.KindGlobal && u.ClassName == class }
-	if !rt.done && !rt.outOfOrder(match) {
-		return false
+	if !s.done && !s.outOfOrder(func(u stream.UnitInfo) bool { return isGlobal(u, class) }) {
+		return
 	}
-	rt.classDem[class] = true
-	rt.mispredicts++
-	rt.obs.Emit(obs.DemandIssue, "class "+class, 0, 0)
-	go rt.demandClass(class)
-	return true
+	s.classDem[class] = true
+	s.issue("class "+class, func() { s.demandClass(class) })
 }
 
 // outOfOrder reports whether the first not-yet-consumed unit matching
 // the predicate is NOT the very next unit of its kind the stream will
 // deliver — i.e. waiting for the main stream would first sit through
 // other units. A matching global unit immediately before the matching
-// body does not count as out of order. Caller holds rt.mu.
-func (rt *runtime) outOfOrder(match func(stream.UnitInfo) bool) bool {
-	cursor := rt.loader.UnitsConsumed()
-	if cursor >= len(rt.toc) {
+// body does not count as out of order. Caller holds s.mu.
+func (s *Session) outOfOrder(match func(stream.UnitInfo) bool) bool {
+	cursor := s.loader.UnitsConsumed()
+	if cursor >= len(s.toc) {
 		return true // stream exhausted without a match
 	}
 	// Skip the in-flight prefix that precedes the awaited unit only if
 	// it is this unit's own class global; anything else means the
 	// prediction put other work first.
-	for i := cursor; i < len(rt.toc); i++ {
-		u := rt.toc[i]
+	for i := cursor; i < len(s.toc); i++ {
+		u := s.toc[i]
 		if match(u) {
 			return false
 		}
@@ -702,73 +775,81 @@ func (rt *runtime) outOfOrder(match func(stream.UnitInfo) bool) bool {
 	return true
 }
 
-// demandMethod pulls ref's body (and, if needed, its class's global
-// unit first) out of the stream with range requests and feeds them to
-// the loader. Runs on its own goroutine, holding no locks.
-func (rt *runtime) demandMethod(ref classfile.Ref) {
-	var bodyU *stream.UnitInfo
-	for i := range rt.toc {
-		if rt.toc[i].Kind == stream.KindBody && rt.toc[i].Method == ref {
-			bodyU = &rt.toc[i]
-			break
+func isGlobal(u stream.UnitInfo, class string) bool {
+	return u.Kind == stream.KindGlobal && u.ClassName == class
+}
+
+// unit returns the first unit-table entry matching the predicate.
+func (s *Session) unit(match func(stream.UnitInfo) bool) *stream.UnitInfo {
+	for i := range s.toc {
+		if match(s.toc[i]) {
+			return &s.toc[i]
 		}
 	}
-	if bodyU == nil {
-		rt.fail(fmt.Errorf("live: method %v is not in the unit table", ref))
+	return nil
+}
+
+// demandMethod pulls ref's body (and, if the loader lacks it, its
+// class's global unit first) out of the stream. Runs on its own
+// goroutine, holding no locks.
+func (s *Session) demandMethod(ref classfile.Ref) {
+	body := s.unit(func(u stream.UnitInfo) bool { return u.Kind == stream.KindBody && u.Method == ref })
+	if body == nil {
+		s.fail(fmt.Errorf("live: method %v is not in the unit table", ref))
 		return
 	}
-	if rt.loader.LoadedClass(ref.Class) == nil {
-		if err := rt.fetchGlobal(ref.Class); err != nil {
-			rt.fail(err)
+	units := []stream.UnitInfo{*body}
+	if s.loader.LoadedClass(ref.Class) == nil {
+		g := s.unit(func(u stream.UnitInfo) bool { return isGlobal(u, ref.Class) })
+		if g == nil {
+			s.fail(fmt.Errorf("live: class %q is not in the unit table", ref.Class))
 			return
 		}
+		units = []stream.UnitInfo{*g, *body}
 	}
-	began := rt.sinceStart()
-	payload, err := rt.fetchUnit(*bodyU)
-	if err != nil {
-		rt.fail(err)
-		return
-	}
-	evs, err := rt.loader.FeedDemand(bodyU.Class, stream.KindBody, bodyU.Body, payload, bodyU.CRC)
-	if err != nil {
-		rt.fail(err)
-		return
-	}
-	rt.deliver(evs)
-	rt.obs.Emit(obs.DemandDone, ref.String(), int64(len(payload)), rt.sinceStart()-began)
+	s.fetchUnits(units)
 }
 
 // demandClass pulls a class's global unit out of the stream.
-func (rt *runtime) demandClass(class string) {
-	if rt.loader.LoadedClass(class) != nil {
+func (s *Session) demandClass(class string) {
+	if s.loader.LoadedClass(class) != nil {
 		// The main stream won the race; the waiter is already released.
 		return
 	}
-	if err := rt.fetchGlobal(class); err != nil {
-		rt.fail(err)
+	g := s.unit(func(u stream.UnitInfo) bool { return isGlobal(u, class) })
+	if g == nil {
+		s.fail(fmt.Errorf("live: class %q is not in the unit table", class))
+		return
 	}
+	s.fetchUnits([]stream.UnitInfo{*g})
 }
 
-// fetchGlobal range-fetches and feeds one class's global-data unit.
-func (rt *runtime) fetchGlobal(class string) error {
-	for _, u := range rt.toc {
-		if u.Kind != stream.KindGlobal || u.ClassName != class {
-			continue
-		}
-		began := rt.sinceStart()
-		payload, err := rt.fetchUnit(u)
+// fetchUnits range-fetches units in order, feeding each to the loader
+// and publishing what installs, and reports whether all of them landed
+// (a failure fails the session). The loader's install is exactly-once,
+// so racing the main stream is safe. Runs on its own goroutine, holding
+// no locks.
+func (s *Session) fetchUnits(units []stream.UnitInfo) bool {
+	for _, u := range units {
+		began := s.sinceStart()
+		payload, err := s.fetchUnit(u)
 		if err != nil {
-			return err
+			s.fail(err)
+			return false
 		}
-		evs, err := rt.loader.FeedDemand(u.Class, stream.KindGlobal, -1, payload, u.CRC)
+		evs, err := s.loader.FeedDemand(u.Class, u.Kind, u.Body, payload, u.CRC)
 		if err != nil {
-			return err
+			s.fail(err)
+			return false
 		}
-		rt.deliver(evs)
-		rt.obs.Emit(obs.DemandDone, "class "+class, int64(len(payload)), rt.sinceStart()-began)
-		return nil
+		s.deliver(evs)
+		label := "class " + u.ClassName
+		if u.Kind == stream.KindBody {
+			label = u.Method.String()
+		}
+		s.obs.Emit(obs.DemandDone, label, int64(len(payload)), s.sinceStart()-began)
 	}
-	return fmt.Errorf("live: class %q is not in the unit table", class)
+	return true
 }
 
 // fetchUnit range-fetches one unit's payload, verified against the
@@ -776,15 +857,15 @@ func (rt *runtime) fetchGlobal(class string) error {
 // across a reconnect that fails verification is discarded and
 // re-fetched from the range start (the last verified byte), never
 // installed and never resumed from the unverified splice point.
-func (rt *runtime) fetchUnit(u stream.UnitInfo) ([]byte, error) {
-	rt.mu.Lock()
-	rt.demands++
-	rt.mu.Unlock()
-	p, attempts, err := rt.client.FetchRangeVerified(rt.ctx, rt.opts.URL, u.Off, int64(u.Len), u.CRC)
+func (s *Session) fetchUnit(u stream.UnitInfo) ([]byte, error) {
+	s.mu.Lock()
+	s.demands++
+	s.mu.Unlock()
+	p, attempts, err := s.client.FetchRangeVerified(s.ctx, s.opts.URL, u.Off, int64(u.Len), u.CRC)
 	if attempts > 1 {
-		rt.mu.Lock()
-		rt.refetches += attempts - 1
-		rt.mu.Unlock()
+		s.mu.Lock()
+		s.refetches += attempts - 1
+		s.mu.Unlock()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("live: demand fetch of unit at %d: %w", u.Off, err)
@@ -796,39 +877,34 @@ func (rt *runtime) fetchUnit(u stream.UnitInfo) ([]byte, error) {
 // unit whose payload failed its checksum, so re-fetch just that unit's
 // bytes with a range request against the unit table. The loader
 // re-verifies the returned payload, so this only has to deliver bytes.
-func (rt *runtime) repairUnit(req stream.RepairRequest) ([]byte, error) {
-	var u *stream.UnitInfo
-	for i := range rt.toc {
-		t := &rt.toc[i]
-		if t.Class == req.Class && t.Kind == req.Kind &&
-			(req.Kind == stream.KindGlobal || t.Body == req.Body) {
-			u = t
-			break
-		}
-	}
+func (s *Session) repairUnit(req stream.RepairRequest) ([]byte, error) {
+	u := s.unit(func(t stream.UnitInfo) bool {
+		return t.Class == req.Class && t.Kind == req.Kind &&
+			(req.Kind == stream.KindGlobal || t.Body == req.Body)
+	})
 	if u == nil {
 		return nil, fmt.Errorf("live: corrupt %d-byte unit (class %d, body %d) is not in the unit table",
 			req.Len, req.Class, req.Body)
 	}
-	began := rt.sinceStart()
-	rt.mu.Lock()
-	rt.refetches++
-	rt.mu.Unlock()
-	p, _, err := rt.client.FetchRangeVerified(rt.ctx, rt.opts.URL, u.Off, int64(u.Len), u.CRC)
+	began := s.sinceStart()
+	s.mu.Lock()
+	s.refetches++
+	s.mu.Unlock()
+	p, _, err := s.client.FetchRangeVerified(s.ctx, s.opts.URL, u.Off, int64(u.Len), u.CRC)
 	if err != nil {
 		return nil, fmt.Errorf("live: repair fetch of unit at %d: %w", u.Off, err)
 	}
-	rt.mu.Lock()
-	rt.repairSpans = append(rt.repairSpans, span{From: began, To: rt.sinceStart()})
-	rt.mu.Unlock()
+	s.mu.Lock()
+	s.repairSpans = append(s.repairSpans, span{From: began, To: s.sinceStart()})
+	s.mu.Unlock()
 	return p, nil
 }
 
 // deliver publishes demand-path loader events.
-func (rt *runtime) deliver(evs []stream.Event) {
+func (s *Session) deliver(evs []stream.Event) {
 	for _, e := range evs {
-		if err := rt.handleEvent(e); err != nil {
-			rt.fail(err)
+		if err := s.handleEvent(e); err != nil {
+			s.fail(err)
 			return
 		}
 	}

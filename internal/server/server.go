@@ -275,10 +275,10 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, name stri
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "public, max-age=31536000, immutable")
 	h.Set("Content-Type", ctype)
-	rw := w
-	if s.rate > 0 {
-		rw = &pacedWriter{rw: w, rate: s.rate, ctx: r.Context()}
-	}
+	// A one-chunk burst lets the first chunk out at once; every later
+	// chunk waits out the one before it.
+	const chunk = 512
+	rw := stream.PaceResponse(r.Context(), w, stream.NewPacer(float64(s.rate), chunk), chunk)
 	http.ServeContent(rw, r, "", time.Time{}, bytes.NewReader(data))
 }
 
@@ -462,48 +462,4 @@ func NewArtifact(k Key, data, toc []byte) (*Artifact, error) {
 		TOCETag: etagFor(toc),
 		Units:   len(units),
 	}, nil
-}
-
-// pacedWriter throttles the response body to simulate a slow link,
-// flushing each chunk so the client sees steady progress. Its sleeps
-// watch the request context: at fleet scale a slow pace outlives many
-// clients, and a sleep that ignores cancellation pins one server
-// goroutine (plus the response buffers it references) per dead client
-// for however long the remaining pace schedule runs.
-type pacedWriter struct {
-	rw   http.ResponseWriter
-	rate int
-	ctx  context.Context
-}
-
-func (p *pacedWriter) Header() http.Header { return p.rw.Header() }
-
-func (p *pacedWriter) WriteHeader(code int) { p.rw.WriteHeader(code) }
-
-func (p *pacedWriter) Write(b []byte) (int, error) {
-	const chunk = 512
-	fl, _ := p.rw.(http.Flusher)
-	written := 0
-	for off := 0; off < len(b); off += chunk {
-		end := off + chunk
-		if end > len(b) {
-			end = len(b)
-		}
-		n, err := p.rw.Write(b[off:end])
-		written += n
-		if err != nil {
-			return written, err
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-		t := time.NewTimer(time.Duration(n) * time.Second / time.Duration(p.rate))
-		select {
-		case <-t.C:
-		case <-p.ctx.Done():
-			t.Stop()
-			return written, p.ctx.Err()
-		}
-	}
-	return written, nil
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -92,10 +93,11 @@ func ParseLinks(s string) ([]LinkClass, error) {
 
 // Shape wraps conn's read side with this link's schedule. seed selects
 // the connection's private jitter/loss stream; scale divides every
-// sleep, so a simulation can run the modem's schedule at 1000× wall
+// wait, so a simulation can run the modem's schedule at 1000× wall
 // speed without changing any schedule decision (the byte positions of
 // loss events and the shape of the pacing are scale-independent).
-// scale <= 0 means real time.
+// scale <= 0 means real time. Closing the returned connection ends any
+// wait a pending Read is in.
 func (lc LinkClass) Shape(conn net.Conn, seed uint64, scale float64) net.Conn {
 	if scale <= 0 {
 		scale = 1
@@ -108,11 +110,17 @@ func (lc LinkClass) Shape(conn net.Conn, seed uint64, scale float64) net.Conn {
 			delay = 0
 		}
 	}
-	c := &shapedConn{Conn: conn, link: lc, scale: scale, delay: delay, nextLoss: -1}
+	c := &shapedConn{
+		Conn:     conn,
+		link:     lc,
+		pace:     NewPacer(float64(lc.Bandwidth)*scale, 0),
+		delay:    time.Duration(float64(delay) / scale),
+		nextLoss: -1,
+	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	if lc.LossEvery > 0 {
 		c.nextLoss = int64(lc.LossEvery/2 + r.Intn(lc.LossEvery))
 	}
-	c.r = r
 	return c
 }
 
@@ -122,27 +130,33 @@ func (lc LinkClass) Shape(conn net.Conn, seed uint64, scale float64) net.Conn {
 type shapedConn struct {
 	net.Conn
 	link     LinkClass
-	r        *xrand.Rand
-	scale    float64
-	delay    time.Duration // pending first-byte delay; 0 after first read
+	pace     *Pacer        // the link's bandwidth; nil = unpaced
+	delay    time.Duration // pending (scaled) first-byte delay; 0 after first read
 	read     int64
 	nextLoss int64 // byte position of the next injected reset; -1 = never
+
+	// ctx ends every wait once the connection closes.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
-// linkMTU caps one shaped read, so pacing sleeps stay fine-grained and
+// linkMTU caps one shaped read, so pacing waits stay fine-grained and
 // a loss event lands near its drawn byte position.
 const linkMTU = 1460
 
 func (c *shapedConn) Read(p []byte) (int, error) {
 	if c.delay > 0 {
-		c.sleep(c.delay)
+		d := c.delay
 		c.delay = 0
+		if sleep(c.ctx, d) != nil {
+			return 0, net.ErrClosed
+		}
 	}
 	if c.nextLoss >= 0 && c.read >= c.nextLoss {
 		// The seeded loss event: kill the connection mid-body. The
 		// fetch layer sees a reset and resumes with a Range request on
 		// a fresh (freshly shaped) connection.
-		c.Conn.Close()
+		c.Close()
 		return 0, fmt.Errorf("link %s: injected loss after %d bytes", c.link.Name, c.read)
 	}
 	if len(p) > linkMTU {
@@ -150,15 +164,13 @@ func (c *shapedConn) Read(p []byte) (int, error) {
 	}
 	n, err := c.Conn.Read(p)
 	c.read += int64(n)
-	if n > 0 && c.link.Bandwidth > 0 {
-		c.sleep(time.Duration(n) * time.Second / time.Duration(c.link.Bandwidth))
+	if c.pace.Wait(c.ctx, n) != nil && err == nil {
+		err = net.ErrClosed
 	}
 	return n, err
 }
 
-func (c *shapedConn) sleep(d time.Duration) {
-	d = time.Duration(float64(d) / c.scale)
-	if d > 0 {
-		time.Sleep(d)
-	}
+func (c *shapedConn) Close() error {
+	c.cancel()
+	return c.Conn.Close()
 }
